@@ -24,13 +24,12 @@ test-noasm:
 
 # bench runs the nn-kernel, wire-codec, compute-core and serving benchmarks
 # (including the concurrent serving benchmarks at -cpu 1,4, the large-pool
-# top-K benchmarks with the inverted index on AND off plus batch-level
-# candidate sharing, the saturated-pool eviction benchmarks, the
-# feedback-loop trainer-idle/active benchmarks, the PR 6 durability
-# benchmarks, the PR 7 guarded serving benchmark with its <= 5% overhead
-# gate, the PR 8 index gate, the PR 9 gates — dispatched MatMul128 >= 2x
-# the noasm build where AVX2+FMA was selected, binary batch codec allocs
-# <= 20% of JSON — and the PR 10 telemetry gate: the fully instrumented
+# top-K benchmarks with the inverted index on AND off, the saturated-pool
+# eviction benchmarks, the feedback-loop trainer-idle/active benchmarks,
+# the PR 6 durability benchmarks, the PR 7 guarded serving benchmark with
+# its <= 5% overhead gate, the PR 8 index gate, the PR 9 gates —
+# dispatched MatMul128 >= 2x the noasm build where AVX2+FMA was selected,
+# binary batch codec allocs <= 20% of JSON — and the PR 10 telemetry gate: the fully instrumented
 # estimator <= 3% over the bare one on the parallel serving point) with
 # -benchmem and records results (plus the frozen pre-PR baseline and the
 # per-stage latency breakdown of the HTTP estimate path) in BENCH_10.json.
@@ -44,13 +43,12 @@ bench:
 # coalescer, pool-index, adaptation-loop or durability changes still
 # execute. The parallel serving benchmarks run at -cpu 1,4 so both the
 # single- and multi-GOMAXPROCS dispatch paths execute; the large-pool
-# benchmarks exercise inverted-index selection, the index-off linear scan,
-# the unbounded full scan and batch-level candidate sharing once per size
-# point; the trainer benchmarks run one whole retrain/promotion cycle under
-# estimate traffic, the pool benchmarks one heap eviction per size, the
-# WAL benchmarks one append per sync policy plus a full 10k-record
-# recovery replay, the feedback-path benchmarks one journaled record
-# per variant, the guarded serving benchmark one pass through the
+# benchmarks exercise inverted-index selection, the index-off linear scan
+# and the unbounded full scan once per size point; the trainer benchmarks
+# run one whole retrain/promotion cycle under estimate traffic, the pool
+# benchmarks one heap eviction per size, the WAL benchmarks one append
+# per sync policy plus a full 10k-record recovery replay, the
+# feedback-path benchmarks one journaled record per variant, the guarded serving benchmark one pass through the
 # admission gate + breaker + deadline stack, and the telemetry benchmark
 # one pass through the fully instrumented estimator.
 bench-smoke:

@@ -1,12 +1,12 @@
 package crn
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index). All benchmarks
-// share one trained environment, built lazily on first use at the Small
-// scale; each benchmark iteration re-runs its experiment's predictions from
-// scratch (the memoization cache is reset), so ns/op reflects honest
-// end-to-end evaluation cost. Headline q-errors are attached as custom
-// benchmark metrics.
+// evaluation (`go run ./cmd/repro -list` prints the experiment ids). All
+// benchmarks share one trained environment, built lazily on first use at
+// the Small scale; each benchmark iteration re-runs its experiment's
+// predictions from scratch (the memoization cache is reset), so ns/op
+// reflects honest end-to-end evaluation cost. Headline q-errors are
+// attached as custom benchmark metrics.
 //
 // Run a single experiment with e.g.
 //
@@ -103,7 +103,7 @@ func BenchmarkTable13_ImprovedVsCRN(b *testing.B)        { runExperiment(b, "tab
 func BenchmarkTable14_PoolSizeSweep(b *testing.B)        { runExperiment(b, "table14") }
 func BenchmarkTable15_PredictionTime(b *testing.B)       { runExperiment(b, "table15") }
 
-// Ablation benches: the design choices DESIGN.md calls out.
+// Ablation benches: the estimator's own design choices.
 
 func BenchmarkTopKCandidateSweep(b *testing.B)    { runExperiment(b, "topk") }
 func BenchmarkAblationFinalFunction(b *testing.B) { runExperiment(b, "ablation_final") }

@@ -63,8 +63,7 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 }
 
 func TestBinaryBatchErrors(t *testing.T) {
-	srv := testServer(t)
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
 
 	// Malformed frame.
@@ -85,21 +84,11 @@ func TestBinaryBatchErrors(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 		t.Errorf("error body not JSON: %s (%v)", body, err)
 	}
-
-	// Kill switch: binary gets 415, JSON keeps working.
-	srv.binaryBatch = false
-	defer func() { srv.binaryBatch = true }()
-	frame := wire.AppendRequest(nil, []string{"SELECT * FROM title"})
-	if status, _ := postBinary(t, ts.URL+"/estimate/batch", frame); status != http.StatusUnsupportedMediaType {
-		t.Errorf("disabled: status %d, want 415", status)
-	}
-	resp, _ := postJSON(t, ts.URL+"/estimate/batch",
-		map[string]any{"queries": []string{"SELECT * FROM title"}})
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("json with binary disabled: status %d", resp.StatusCode)
-	}
 }
 
+// TestHealthzWireSection checks the /estimate/batch traffic counters per
+// codec and the binary path's buffer reuse on /metrics; /healthz does not
+// carry them.
 func TestHealthzWireSection(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
@@ -113,36 +102,41 @@ func TestHealthzWireSection(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/estimate/batch", map[string]any{"queries": queries})
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	fams := scrape(t, ts.URL)
+	sample := func(family, key, value string) float64 {
+		v, ok := fams[family].Sample(key, value)
+		if !ok {
+			t.Errorf("%s{%s=%q} missing", family, key, value)
+		}
+		return v
 	}
-	defer resp.Body.Close()
-	var hz struct {
-		Wire wireSnapshot `json:"wire"`
+	if n := sample("crn_wire_requests_total", "codec", "binary"); n < 3 {
+		t.Errorf("binary requests = %v, want >= 3", n)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
+	if n := sample("crn_wire_requests_total", "codec", "json"); n < 1 {
+		t.Errorf("json requests = %v, want >= 1", n)
 	}
-	w := hz.Wire
-	if !w.BinaryEnabled {
-		t.Error("binary_enabled = false")
+	if in := sample("crn_wire_in_bytes_total", "codec", "binary"); in < float64(3*len(frame)) {
+		t.Errorf("binary bytes in = %v, want >= %d", in, 3*len(frame))
 	}
-	if w.Binary.Requests < 3 || w.JSON.Requests < 1 {
-		t.Errorf("request counts: binary=%d json=%d", w.Binary.Requests, w.JSON.Requests)
+	if out := sample("crn_wire_out_bytes_total", "codec", "binary"); out == 0 {
+		t.Error("binary bytes out = 0")
 	}
-	if w.Binary.BytesIn < uint64(3*len(frame)) || w.Binary.BytesOut == 0 {
-		t.Errorf("binary bytes: in=%d out=%d", w.Binary.BytesIn, w.Binary.BytesOut)
-	}
-	if w.JSON.BytesIn == 0 || w.JSON.BytesOut == 0 {
-		t.Errorf("json bytes: in=%d out=%d", w.JSON.BytesIn, w.JSON.BytesOut)
+	if in, out := sample("crn_wire_in_bytes_total", "codec", "json"),
+		sample("crn_wire_out_bytes_total", "codec", "json"); in == 0 || out == 0 {
+		t.Errorf("json bytes: in=%v out=%v", in, out)
 	}
 	// Three binary requests = six buffer gets (body + response each); after
 	// the first request warmed the pool the rest must reuse.
-	if w.BufferGets < 6 {
-		t.Errorf("buffer gets = %d, want >= 6", w.BufferGets)
+	gets := sample("crn_wire_buffer_ops_total", "op", "get")
+	misses := sample("crn_wire_buffer_ops_total", "op", "miss")
+	if gets < 6 {
+		t.Errorf("buffer gets = %v, want >= 6", gets)
 	}
-	if w.BufferReuseRate <= 0 {
-		t.Errorf("buffer reuse rate = %v, want > 0", w.BufferReuseRate)
+	if gets-misses <= 0 {
+		t.Errorf("buffer reuse: gets=%v misses=%v, want some reuse", gets, misses)
+	}
+	if _, ok := healthzKeys(t, ts.URL)["wire"]; ok {
+		t.Error("/healthz carries wire; it belongs on /metrics")
 	}
 }

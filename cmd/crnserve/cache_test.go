@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"crn"
 )
 
 // TestRecordInvalidatesAndEstimateSeesNewEntry drives the serving-side
@@ -16,7 +18,7 @@ func TestRecordInvalidatesAndEstimateSeesNewEntry(t *testing.T) {
 	base := testServer(t)
 	empty := base.sys.NewQueriesPool()
 	srv := newServer(base.sys, base.model, empty,
-		base.sys.CardinalityEstimator(base.model, empty), nil)
+		base.sys.CardinalityEstimator(base.model, empty), crn.NewTelemetry(), nil)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -71,10 +73,11 @@ func TestRecordInvalidatesAndEstimateSeesNewEntry(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsRepCache checks the cache counters surface on /healthz
-// and move under load.
+// TestHealthzReportsRepCache checks the representation-cache counters move
+// under load on CacheStats and /metrics; /healthz does not carry them.
 func TestHealthzReportsRepCache(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).handler())
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	// Two identical batch estimates: the second should hit the cache.
@@ -89,19 +92,20 @@ func TestHealthzReportsRepCache(t *testing.T) {
 			t.Fatalf("batch %d: status %d body %s", i, status, body)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	cs := srv.est.CacheStats()
+	if cs.Capacity == 0 {
+		t.Errorf("rep cache not configured: %+v", cs)
 	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
+	if cs.Hits+cs.Misses == 0 {
+		t.Errorf("rep cache counters never moved: %+v", cs)
 	}
-	if hr.RepCache.Capacity == 0 {
-		t.Errorf("healthz rep_cache missing: %+v", hr.RepCache)
+	fam := scrape(t, ts.URL)["crn_repcache_lookups_total"]
+	hits, _ := fam.Sample("result", "hit")
+	misses, _ := fam.Sample("result", "miss")
+	if hits+misses == 0 {
+		t.Errorf("crn_repcache_lookups_total never moved (hit=%v miss=%v)", hits, misses)
 	}
-	if hr.RepCache.Hits+hr.RepCache.Misses == 0 {
-		t.Errorf("rep_cache counters never moved: %+v", hr.RepCache)
+	if _, ok := healthzKeys(t, ts.URL)["rep_cache"]; ok {
+		t.Error("/healthz carries rep_cache; it belongs on /metrics")
 	}
 }

@@ -28,7 +28,7 @@ import (
 // startup completes, unready again once shutdown begins).
 func TestLivezReadyzLifecycle(t *testing.T) {
 	base := testServer(t)
-	srv := newServer(base.sys, base.model, base.pool, base.est, nil)
+	srv := newServer(base.sys, base.model, base.pool, base.est, crn.NewTelemetry(), nil)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -63,7 +63,8 @@ func TestLivezReadyzLifecycle(t *testing.T) {
 
 // TestOverloadMapsTo429 floods a 1-slot server: overflow must come back as
 // 429 with a Retry-After header, admitted requests as 200, and the guard
-// plus per-endpoint counters on /healthz must account for the shed.
+// counters (GuardStats, /metrics) plus the per-route counters on /metrics
+// must account for the shed.
 func TestOverloadMapsTo429(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	base := testServer(t)
@@ -71,9 +72,10 @@ func TestOverloadMapsTo429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := crn.NewTelemetry()
 	est := base.sys.CardinalityEstimator(base.model, base.pool,
-		crn.WithFallback(fb), crn.WithMaxInflight(1))
-	srv := newServer(base.sys, base.model, base.pool, est, nil)
+		crn.WithFallback(fb), crn.WithMaxInflight(1), crn.WithTelemetry(tel))
+	srv := newServer(base.sys, base.model, base.pool, est, tel, nil)
 	srv.setReady(true)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
@@ -131,21 +133,18 @@ func TestOverloadMapsTo429(t *testing.T) {
 		t.Fatalf("overload split ok=%d shed=%d, want both > 0", ok, shed)
 	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	if gs := est.GuardStats().Gate; gs.MaxInflight != 1 || gs.Shed < uint64(shed) {
+		t.Errorf("guard gate counters = %+v, want ceiling 1 and >= %d shed", gs, shed)
 	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
+	fams := scrape(t, ts.URL)
+	if v, _ := fams["crn_gate_requests_total"].Sample("decision", "shed"); v < float64(shed) {
+		t.Errorf("crn_gate_requests_total{decision=shed} = %v, want >= %d", v, shed)
 	}
-	if hr.Guard.Gate.MaxInflight != 1 || hr.Guard.Gate.Shed < uint64(shed) {
-		t.Errorf("guard gate counters = %+v, want ceiling 1 and >= %d shed", hr.Guard.Gate, shed)
+	if v, _ := fams["crn_http_requests_total"].Sample("route", "estimate"); v < workers {
+		t.Errorf("crn_http_requests_total{route=estimate} = %v, want >= %d", v, workers)
 	}
-	ep := hr.Endpoints["estimate"]
-	if ep.Requests < workers || ep.Shed < uint64(shed) {
-		t.Errorf("endpoint counters = %+v, want >= %d requests and >= %d shed", ep, workers, shed)
+	if v, _ := fams["crn_http_shed_total"].Sample("route", "estimate"); v < float64(shed) {
+		t.Errorf("crn_http_shed_total{route=estimate} = %v, want >= %d", v, shed)
 	}
 }
 
@@ -185,7 +184,7 @@ func TestKillSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ae.Close)
-	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, nil)
+	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, crn.NewTelemetry(), nil)
 	srv.adaptive = ae
 	srv.setIngestLimit(8)
 	srv.setReady(true)
@@ -270,8 +269,8 @@ func TestKillSwitch(t *testing.T) {
 	if hr.Durable == nil || !hr.Durable.Degraded {
 		t.Fatalf("durability_degraded not set during outage: %+v", hr.Durable)
 	}
-	if hr.Guard.Breaker.Trips < 1 {
-		t.Errorf("breaker never tripped during the error storm: %+v", hr.Guard.Breaker)
+	if bs := ae.GuardStats().Breaker; bs.Trips < 1 {
+		t.Errorf("breaker never tripped during the error storm: %+v", bs)
 	}
 	resp, err := client.Get(ts.URL + "/livez")
 	if err != nil {
@@ -315,6 +314,6 @@ func TestKillSwitch(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/readyz after recovery = %d, want 200 (%+v)", resp.StatusCode, health().Guard.Breaker)
+		t.Errorf("/readyz after recovery = %d, want 200 (%+v)", resp.StatusCode, ae.GuardStats().Breaker)
 	}
 }

@@ -11,7 +11,7 @@
 //	POST /estimate/batch  {"queries": ["...", "..."]}          -> {"cardinalities": [...], "count": 2}
 //	POST /record          {"query": "SELECT ..."}              -> {"cardinality": 17, "added": true, "pool_size": 301}
 //	POST /feedback        {"query": "...", "cardinality": 17}  -> {"accepted": true, "staged": 3, ...}
-//	GET  /healthz                                              -> {"status": "ok", ...}
+//	GET  /healthz                                              -> {"status": "ok", "pool_size": 301, ...}
 //	GET  /livez                                                -> {"status": "alive"}
 //	GET  /readyz                                               -> {"status": "ready"} or 503
 //	GET  /metrics                                              -> Prometheus text exposition
@@ -27,15 +27,14 @@
 // application/x-crn-batch — a length-prefixed little-endian binary frame
 // protocol (format spec in the README and internal/wire) that skips JSON
 // reflection entirely and runs on pooled buffers; cardinalities are
-// bit-identical to the JSON path. JSON stays the default, and
-// -binary-batch=false is the kill switch: binary requests then get 415
-// while JSON is unaffected. /healthz reports per-codec traffic and the
-// buffer reuse rate under "wire".
+// bit-identical to the JSON path. JSON stays the default. /metrics reports
+// per-codec traffic and the buffer reuse counters (crn_wire_*).
 //
 // Concurrent single-query /estimate requests are coalesced into shared
 // batched passes (bit-identical results, one pool scan per batch instead of
 // one per request); tune with -coalesce-batch / -coalesce-wait, observe on
-// /healthz ("coalescer", "estimate_latency", "batch_latency", "rep_cache").
+// /metrics (crn_coalesce_*, crn_estimate_duration_seconds,
+// crn_estimate_batch_duration_seconds, crn_repcache_*).
 // A coalesced request that disconnects abandons its slot immediately, but
 // the shared batch — work other callers still need — runs to completion
 // (disable coalescing with -coalesce-batch 1 to get strict per-request
@@ -48,11 +47,8 @@
 // cost, falling back to the linear scan on clauses with too many distinct
 // signature patterns (disable with -indexed-selection=false to force the
 // scan). -pool-cap N bounds the pool itself with LRU-by-last-match eviction.
-// -share-candidates additionally reuses one candidate selection per (batch,
-// FROM clause, signature pattern) across each coalesced batch — exact for
-// unbounded scans, approximate under -max-candidates. /healthz reports the
-// index, scan-split and eviction counters under "pool" and the sharing
-// counters under "selection".
+// /metrics reports the index, scan-split and eviction counters
+// (crn_pool_*).
 //
 // Online adaptation (on by default, disable with -adapt=false): /feedback
 // ingests execution feedback — a query the workload actually ran and its
@@ -73,17 +69,17 @@
 // breaker that diverts estimates to the baseline fallback while the primary
 // path is failing or slow, with half-open probing after -breaker-cooldown.
 // /livez answers process liveness (always 200 while serving); /readyz turns
-// 503 during startup, shutdown drain, or while the breaker is open. /healthz
-// reports guard and per-endpoint counters ("guard", "ingest_gate",
-// "endpoints").
+// 503 during startup, shutdown drain, or while the breaker is open. /metrics
+// reports guard and per-route counters (crn_gate_*, crn_breaker_*,
+// crn_ingest_*, crn_http_*).
 //
-// Telemetry (on by default, disable with -telemetry=false): the serving
-// stack records per-stage latency histograms (admission → coalesce-wait →
-// cache-lookup → candidate-selection → NN-forward → finalize), request
-// outcomes, subsystem counters, and live per-arm q-error (feedback truths
-// joined against recent estimates), all exposed on GET /metrics in
-// Prometheus text format with no external dependency. /healthz renders its
-// latency, stage and accuracy sections from the same registry.
+// Telemetry: the serving stack records per-stage latency histograms
+// (admission → coalesce-wait → cache-lookup → candidate-selection →
+// NN-forward → finalize), request outcomes, subsystem counters, and live
+// per-arm q-error (feedback truths joined against recent estimates), all
+// exposed on GET /metrics in Prometheus text format with no external
+// dependency. /metrics is the one detailed view: /healthz carries only
+// status, pool_size, and the "online" and "durable" sections.
 // -metrics-addr moves /metrics plus /debug/pprof onto a separate listener
 // so operational endpoints stay off the public serving port. `crndiag
 // -watch` renders a terminal dashboard over /metrics.
@@ -131,14 +127,11 @@ func main() {
 	poolCap := flag.Int("pool-cap", 0, "queries-pool capacity; /record evicts the least-recently-matched entry once full (0: unbounded)")
 	maxCandidates := flag.Int("max-candidates", 0, "bound each estimate to the K most comparable pool entries via the signature index (0: full scan)")
 	indexedSelection := flag.Bool("indexed-selection", true, "serve bounded candidate selection through the pool's inverted signature-class index (bit-identical results; =false restores the full linear scan)")
-	shareCandidates := flag.Bool("share-candidates", false, "reuse one candidate selection per (batch, FROM clause, signature pattern) across coalesced batches; approximate when -max-candidates binds")
 	noFallback := flag.Bool("no-fallback", false, "fail pool misses with 422 instead of using the PostgreSQL-style baseline")
 	coalesceBatch := flag.Int("coalesce-batch", 64, "max concurrent /estimate requests coalesced into one batched pass (< 2 disables coalescing)")
 	coalesceWait := flag.Duration("coalesce-wait", 0, "how long to hold a non-full coalescing batch open for stragglers (0: adaptive, never waits)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (profiling opt-in)")
-	telemetryOn := flag.Bool("telemetry", true, "enable the serving telemetry layer: per-stage timers, /metrics Prometheus exposition, live q-error tracking (=false removes even the nanosecond clock reads)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this separate listener so operational endpoints stay off the public port (empty: /metrics rides -addr)")
-	binaryBatch := flag.Bool("binary-batch", true, "serve the application/x-crn-batch binary frame protocol on /estimate/batch (=false answers binary requests with 415; JSON unaffected)")
 	adapt := flag.Bool("adapt", true, "enable the online-adaptation loop (/feedback ingestion, background retraining, model hot-swap)")
 	feedbackBuffer := flag.Int("feedback-buffer", 1024, "staged execution-feedback records before /feedback rejects (adaptation)")
 	feedbackMinBatch := flag.Int("feedback-min-batch", 16, "staged records that make a scheduled retrain worthwhile (adaptation)")
@@ -231,12 +224,8 @@ func main() {
 		}
 	}
 
-	opts := []crn.EstimatorOption{}
-	var tel *crn.Telemetry
-	if *telemetryOn {
-		tel = crn.NewTelemetry()
-		opts = append(opts, crn.WithTelemetry(tel))
-	}
+	tel := crn.NewTelemetry()
+	opts := []crn.EstimatorOption{crn.WithTelemetry(tel)}
 	if !*noFallback {
 		base, err := sys.AnalyzeBaseline()
 		if err != nil {
@@ -251,10 +240,6 @@ func main() {
 	if *maxCandidates > 0 {
 		opts = append(opts, crn.WithMaxCandidates(*maxCandidates))
 		logger.Printf("candidate selection bounded to top-%d pool entries per estimate", *maxCandidates)
-	}
-	if *shareCandidates {
-		opts = append(opts, crn.WithSharedSelection(true))
-		logger.Printf("batch-level candidate sharing on (one pool selection per batch share bucket)")
 	}
 	if *maxInflight > 0 {
 		opts = append(opts, crn.WithMaxInflight(*maxInflight))
@@ -314,23 +299,13 @@ func main() {
 		est = sys.CardinalityEstimator(model, pool, opts...)
 	}
 
-	handler := newServer(sys, model, pool, est, logger)
+	handler := newServer(sys, model, pool, est, tel, logger)
 	handler.adaptive = adaptive
 	handler.pprof = *pprofFlag
-	handler.binaryBatch = *binaryBatch
 	handler.setIngestLimit(*maxInflight)
-	handler.setTelemetry(tel)
 	handler.metricsOnMain = *metricsAddr == ""
 	if *pprofFlag {
 		logger.Printf("pprof enabled under /debug/pprof/")
-	}
-	switch {
-	case tel != nil && *metricsAddr == "":
-		logger.Printf("telemetry on (/metrics on the serving port; stage timers and live q-error tracking armed)")
-	case tel != nil:
-		logger.Printf("telemetry on (stage timers and live q-error tracking armed)")
-	case *metricsAddr != "":
-		logger.Printf("warning: -telemetry=false leaves the %s listener with /debug/pprof only (no /metrics)", *metricsAddr)
 	}
 	// Construction is done: model published (trained, loaded, or recovered)
 	// and any WAL replay absorbed — flip /readyz before the listener opens.

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -40,8 +39,9 @@ func drive(t *testing.T, url string) {
 
 // TestMetricsExposition is the /metrics acceptance: the endpoint serves
 // lint-clean Prometheus text exposition whose families cover the guard,
-// serve, pool, and wire subsystems plus the estimate path, and the moving
-// counters actually moved.
+// serve, pool, and wire subsystems, the estimate path and the HTTP front
+// end — every statistic /healthz does not carry — and the moving counters
+// actually moved.
 func TestMetricsExposition(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
@@ -71,20 +71,29 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One family per instrumented subsystem, by name: estimate path,
-	// guard, serve (coalescer), pool, cache, wire, HTTP front end.
+	// The families of every instrumented subsystem, by name: estimate
+	// path, guard, serve (coalescer), pool, cache, live accuracy, wire,
+	// HTTP front end, process.
 	for _, name := range []string{
 		"crn_estimate_requests_total",
 		"crn_estimate_duration_seconds",
+		"crn_estimate_batch_duration_seconds",
 		"crn_estimate_stage_duration_seconds",
 		"crn_gate_inflight",
+		"crn_gate_requests_total",
 		"crn_breaker_state",
+		"crn_coalesce_calls_total",
 		"crn_coalesce_batches_total",
 		"crn_pool_entries",
+		"crn_pool_evictions_total",
 		"crn_repcache_lookups_total",
 		"crn_accuracy_qerror",
 		"crn_wire_requests_total",
+		"crn_wire_in_bytes_total",
 		"crn_http_requests_total",
+		"crn_http_shed_total",
+		"crn_recorded_queries_total",
+		"crn_process_uptime_seconds",
 	} {
 		if fams[name] == nil {
 			t.Errorf("family %s missing from /metrics", name)
@@ -112,39 +121,29 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestHealthzTelemetrySection: with telemetry on, /healthz carries the
-// registry-snapshot section — request outcomes, stage quantiles, q-error
-// arms — and its latency snapshots come from the same histograms /metrics
-// serves.
+// TestHealthzTelemetrySection: the telemetry detail — request outcomes,
+// stage quantiles, per-arm q-error, end-to-end latency — is served on
+// /metrics from the registry; /healthz does not carry it.
 func TestHealthzTelemetrySection(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
 	drive(t, ts.URL)
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	// Request outcomes and span counts are TestMetricsExposition's; these
+	// are the quantile, accuracy-arm and latency-sum views.
+	fams := scrape(t, ts.URL)
+	st := fams["crn_estimate_stage_duration_seconds"].Hist("stage", telemetry.StageNNForward)
+	if st == nil || st.Count == 0 || st.Quantile(0.99) < st.Quantile(0.50) {
+		t.Errorf("nn_forward stage histogram wrong: %+v", st)
 	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
+	if fams["crn_accuracy_qerror"].Hist("arm", "crn") == nil {
+		t.Errorf("crn_accuracy_qerror{arm=crn} missing")
 	}
-	if hr.Telemetry == nil {
-		t.Fatal("healthz telemetry section missing with telemetry on")
+	if h := fams["crn_estimate_duration_seconds"].Hist("", ""); h == nil || h.Count < 3 || h.Sum <= 0 {
+		t.Errorf("estimate latency histogram wrong: %+v", h)
 	}
-	if hr.Telemetry.Requests["ok"] < 3 {
-		t.Errorf("telemetry.requests.ok = %d, want >= 3", hr.Telemetry.Requests["ok"])
-	}
-	st, ok := hr.Telemetry.Stages[telemetry.StageNNForward]
-	if !ok || st.Count == 0 || st.P99Micros < st.P50Micros {
-		t.Errorf("nn_forward stage quantiles wrong: %+v (ok=%v)", st, ok)
-	}
-	if _, ok := hr.Telemetry.QError["crn"]; !ok {
-		t.Errorf("qerror arms missing: %+v", hr.Telemetry.QError)
-	}
-	if hr.EstimateLatency.Count < 3 || hr.EstimateLatency.AvgMicros <= 0 {
-		t.Errorf("snapshot-derived estimate latency wrong: %+v", hr.EstimateLatency)
+	if _, ok := healthzKeys(t, ts.URL)["telemetry"]; ok {
+		t.Error("/healthz carries telemetry; it belongs on /metrics")
 	}
 }
 
@@ -153,8 +152,7 @@ func TestHealthzTelemetrySection(t *testing.T) {
 // operational mux serves /metrics and /debug/pprof.
 func TestMetricsAddrSplit(t *testing.T) {
 	base := testServer(t)
-	split := newServer(base.sys, base.model, base.pool, base.est, nil)
-	split.tel = base.tel // reuse the bundle; collectors already registered
+	split := newServer(base.sys, base.model, base.pool, base.est, crn.NewTelemetry(), nil)
 	split.metricsOnMain = false
 
 	pub := httptest.NewServer(split.handler())

@@ -34,7 +34,7 @@ type server struct {
 
 	// adaptive, when non-nil, is the online-adaptation view of est:
 	// /feedback ingests execution feedback through it and /healthz reports
-	// the loop's counters. est aliases its CardinalityEstimator, so the
+	// the loop's state. est aliases its CardinalityEstimator, so the
 	// estimate handlers need no branching.
 	adaptive *crn.AdaptiveEstimator
 
@@ -57,20 +57,14 @@ type server struct {
 	// exhaust the server even while /estimate is protected. Nil: unlimited.
 	ingestGate *guard.Gate
 
-	// binaryBatch serves the application/x-crn-batch protocol on
-	// /estimate/batch (the -binary-batch flag; default on). When off,
-	// binary requests get 415 and JSON is unaffected — the operational kill
-	// switch if a client misencodes frames.
-	binaryBatch bool
-	wireIO      wireStats
-	bufPool     wire.BufferPool
+	// wireIO counts /estimate/batch traffic per codec for /metrics; bufPool
+	// carries the binary codec's request and response frames.
+	wireIO  wireStats
+	bufPool wire.BufferPool
 
-	// tel, when non-nil, is the serving telemetry bundle shared with the
-	// estimator (the -telemetry flag, default on): GET /metrics serves its
-	// registry, /healthz renders latency/stage/accuracy sections from one
-	// snapshot of it, and the frame-size histogram children below record
-	// /estimate/batch body sizes per codec. Set via setTelemetry before
-	// serving.
+	// tel is the serving telemetry bundle shared with the estimator: GET
+	// /metrics serves its registry, and the frame-size histogram children
+	// below record /estimate/batch body sizes per codec.
 	tel           *crn.Telemetry
 	metricsOnMain bool // mount /metrics on the public mux (no -metrics-addr)
 	jsonReqBytes  *telemetry.Histogram
@@ -78,17 +72,19 @@ type server struct {
 	binReqBytes   *telemetry.Histogram
 	binRespBytes  *telemetry.Histogram
 
-	estimateLatency latencyStats // single-query /estimate (cardinality mode)
-	batchLatency    latencyStats // /estimate/batch
-
 	epEstimate endpointCounters
 	epBatch    endpointCounters
 	epRecord   endpointCounters
 	epFeedback endpointCounters
 }
 
-func newServer(sys *crn.System, model *crn.ContainmentModel, pool *crn.QueriesPool, est *crn.CardinalityEstimator, logger *log.Logger) *server {
-	return &server{sys: sys, model: model, pool: pool, est: est, started: time.Now(), logger: logger, binaryBatch: true, metricsOnMain: true}
+// newServer builds the front end over est and registers the server-level
+// metric families on tel's registry. tel should be the bundle est records
+// into (WithTelemetry), so /metrics covers the whole serving stack.
+func newServer(sys *crn.System, model *crn.ContainmentModel, pool *crn.QueriesPool, est *crn.CardinalityEstimator, tel *crn.Telemetry, logger *log.Logger) *server {
+	s := &server{sys: sys, model: model, pool: pool, est: est, tel: tel, started: time.Now(), logger: logger, metricsOnMain: true}
+	s.registerMetrics()
+	return s
 }
 
 // setReady flips the /readyz gate; main sets it once construction (training
@@ -111,7 +107,7 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /livez", s.handleLivez)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	if s.tel != nil && s.metricsOnMain {
+	if s.metricsOnMain {
 		mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
 	if s.pprof {
@@ -124,42 +120,6 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// latencyStats tracks request latencies with lock-free counters cheap
-// enough for the hot path; /healthz renders a snapshot.
-type latencyStats struct {
-	count   atomic.Int64
-	totalNs atomic.Int64
-	maxNs   atomic.Int64
-}
-
-func (l *latencyStats) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	l.count.Add(1)
-	l.totalNs.Add(ns)
-	for {
-		m := l.maxNs.Load()
-		if ns <= m || l.maxNs.CompareAndSwap(m, ns) {
-			return
-		}
-	}
-}
-
-// latencySnapshot is the wire form of latencyStats.
-type latencySnapshot struct {
-	Count     int64   `json:"count"`
-	AvgMicros float64 `json:"avg_micros"`
-	MaxMicros float64 `json:"max_micros"`
-}
-
-func (l *latencyStats) snapshot() latencySnapshot {
-	n := l.count.Load()
-	out := latencySnapshot{Count: n, MaxMicros: float64(l.maxNs.Load()) / 1e3}
-	if n > 0 {
-		out.AvgMicros = float64(l.totalNs.Load()) / float64(n) / 1e3
-	}
-	return out
-}
-
 // --- Per-endpoint accounting ------------------------------------------------
 
 // endpointCounters tracks outcomes per route with lock-free counters: total
@@ -168,21 +128,6 @@ type endpointCounters struct {
 	requests atomic.Uint64
 	shed     atomic.Uint64
 	failed   atomic.Uint64
-}
-
-// endpointSnapshot is the wire form of endpointCounters.
-type endpointSnapshot struct {
-	Requests uint64 `json:"requests"`
-	Shed     uint64 `json:"shed"`
-	Failed   uint64 `json:"failed"`
-}
-
-func (c *endpointCounters) snapshot() endpointSnapshot {
-	return endpointSnapshot{
-		Requests: c.requests.Load(),
-		Shed:     c.shed.Load(),
-		Failed:   c.failed.Load(),
-	}
 }
 
 // statusWriter captures the response status so counted can classify the
@@ -215,7 +160,7 @@ func (s *server) counted(ep *endpointCounters, h http.HandlerFunc) http.HandlerF
 // --- Batch wire accounting ---------------------------------------------------
 
 // wireStats tracks /estimate/batch traffic per codec with lock-free
-// counters; /healthz renders the snapshot under "wire".
+// counters that the crn_wire_* families gather.
 type wireStats struct {
 	jsonRequests   atomic.Uint64
 	jsonBytesIn    atomic.Uint64
@@ -223,47 +168,6 @@ type wireStats struct {
 	binaryRequests atomic.Uint64
 	binaryBytesIn  atomic.Uint64
 	binaryBytesOut atomic.Uint64
-}
-
-// wireCodecSnapshot is one codec's traffic counters.
-type wireCodecSnapshot struct {
-	Requests uint64 `json:"requests"`
-	BytesIn  uint64 `json:"bytes_in"`
-	BytesOut uint64 `json:"bytes_out"`
-}
-
-// wireSnapshot is the "wire" section of /healthz: per-codec batch traffic
-// plus the pooled-buffer reuse rate of the binary path.
-type wireSnapshot struct {
-	BinaryEnabled   bool              `json:"binary_enabled"`
-	JSON            wireCodecSnapshot `json:"json"`
-	Binary          wireCodecSnapshot `json:"binary"`
-	BufferGets      uint64            `json:"buffer_gets"`
-	BufferMisses    uint64            `json:"buffer_misses"`
-	BufferReuseRate float64           `json:"buffer_reuse_rate"`
-}
-
-func (s *server) wireSnapshot() wireSnapshot {
-	gets, misses := s.bufPool.Stats()
-	snap := wireSnapshot{
-		BinaryEnabled: s.binaryBatch,
-		JSON: wireCodecSnapshot{
-			Requests: s.wireIO.jsonRequests.Load(),
-			BytesIn:  s.wireIO.jsonBytesIn.Load(),
-			BytesOut: s.wireIO.jsonBytesOut.Load(),
-		},
-		Binary: wireCodecSnapshot{
-			Requests: s.wireIO.binaryRequests.Load(),
-			BytesIn:  s.wireIO.binaryBytesIn.Load(),
-			BytesOut: s.wireIO.binaryBytesOut.Load(),
-		},
-		BufferGets:   gets,
-		BufferMisses: misses,
-	}
-	if gets > 0 {
-		snap.BufferReuseRate = float64(gets-misses) / float64(gets)
-	}
-	return snap
 }
 
 // countingReader counts body bytes actually read on the JSON batch path.
@@ -361,33 +265,12 @@ type feedbackResponse struct {
 	PoolSize   int    `json:"pool_size"`
 }
 
+// healthzResponse is the /healthz body: liveness, pool size, and the
+// adaptation and durability state. Every other serving statistic is on
+// /metrics.
 type healthzResponse struct {
-	Status        string  `json:"status"`
-	PoolSize      int     `json:"pool_size"`
-	Recorded      int64   `json:"recorded"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Pool reports the candidate index and capacity bound: entries and FROM
-	// keys, configured capacity (0: unbounded), LRU evictions, bounded
-	// (top-K) selections, the candidates they scanned/truncated, and the
-	// indexed-vs-linear split (index_hits / index_fallbacks routing,
-	// scanned_indexed / scanned_fallback cost). All selection counters stay
-	// zero when -max-candidates is 0.
-	Pool     crn.PoolStats     `json:"pool"`
-	RepCache crn.RepCacheStats `json:"rep_cache"`
-	// Selection reports batch-level candidate sharing: candidate selections
-	// requested vs answered by reusing an earlier selection of the same
-	// batch. Shared stays zero without -share-candidates.
-	Selection crn.SelectionStats `json:"selection"`
-	// Coalescer reports request-coalescing effectiveness: calls vs batch
-	// executions, average and max batch size (batched_items / batches),
-	// dedup hits, and abandons. All zeros when -coalesce-batch < 2.
-	Coalescer       crn.CoalescerStats `json:"coalescer"`
-	EstimateLatency latencySnapshot    `json:"estimate_latency"`
-	BatchLatency    latencySnapshot    `json:"batch_latency"`
-	// Wire reports /estimate/batch traffic per codec (json vs the
-	// application/x-crn-batch binary protocol) and the binary path's
-	// pooled-buffer reuse rate.
-	Wire wireSnapshot `json:"wire"`
+	Status   string `json:"status"`
+	PoolSize int    `json:"pool_size"`
 	// Online reports the adaptation loop — live model generation, feedback
 	// ingestion, background retraining and drift monitoring — and is
 	// omitted when the server runs with -adapt=false.
@@ -396,19 +279,6 @@ type healthzResponse struct {
 	// checkpoint history, recovery replay counters — and is omitted without
 	// -data-dir.
 	Durable *crn.DurabilityStats `json:"durable,omitempty"`
-	// Guard reports the estimator's operational guards: admission gate
-	// (inflight/peak/shed) and circuit breaker (state, trips, diversions).
-	// All zeros unless -max-inflight or a breaker flag is set.
-	Guard crn.GuardStats `json:"guard"`
-	// IngestGate reports the server-level admission gate over /record and
-	// /feedback (the endpoints that execute the truth oracle).
-	IngestGate crn.GateStats `json:"ingest_gate"`
-	// Endpoints reports per-route request/shed/failure counters.
-	Endpoints map[string]endpointSnapshot `json:"endpoints"`
-	// Telemetry reports the serving telemetry bundle — request outcomes,
-	// per-stage latency quantiles, live per-arm q-error — rendered from one
-	// registry gather shared with /metrics. Omitted with -telemetry=false.
-	Telemetry *telemetrySummary `json:"telemetry,omitempty"`
 }
 
 type errorResponse struct {
@@ -430,9 +300,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, statusFor(err), err)
 			return
 		}
-		start := time.Now()
 		card, err := s.est.EstimateCardinality(r.Context(), q)
-		s.estimateLatency.observe(time.Since(start))
 		if err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
@@ -506,7 +374,7 @@ func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // estimateBatchSQL is the codec-independent core of /estimate/batch: parse
-// every query, run the batched estimate, record latency. Both content types
+// every query and run the batched estimate. Both content types
 // funnel through it, so JSON and binary responses are bit-identical for the
 // same queries.
 func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64, int, error) {
@@ -518,9 +386,7 @@ func (s *server) estimateBatchSQL(ctx context.Context, sqls []string) ([]float64
 		}
 		queries[i] = q
 	}
-	start := time.Now()
 	cards, err := s.est.EstimateCardinalityBatch(ctx, queries)
-	s.batchLatency.observe(time.Since(start))
 	if err != nil {
 		return nil, statusFor(err), err
 	}
@@ -539,11 +405,6 @@ const maxBatchQueries = 1 << 16
 // still reported as JSON bodies with the usual status mapping — a client
 // that speaks the protocol can always read them.
 func (s *server) handleEstimateBatchBinary(w http.ResponseWriter, r *http.Request) {
-	if !s.binaryBatch {
-		s.writeError(w, http.StatusUnsupportedMediaType,
-			errors.New("binary batch protocol disabled (-binary-batch=false); use application/json"))
-		return
-	}
 	s.wireIO.binaryRequests.Add(1)
 	body, err := readAllInto(s.bufPool.Get(), http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -665,38 +526,11 @@ func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := healthzResponse{
-		Status:          "ok",
-		PoolSize:        s.pool.Len(),
-		Recorded:        s.recorded.Load(),
-		UptimeSeconds:   time.Since(s.started).Seconds(),
-		Pool:            s.pool.Stats(),
-		RepCache:        s.est.CacheStats(),
-		Selection:       s.est.SelectionStats(),
-		Coalescer:       s.est.CoalescerStats(),
-		EstimateLatency: s.estimateLatency.snapshot(),
-		BatchLatency:    s.batchLatency.snapshot(),
-		Wire:            s.wireSnapshot(),
-		Guard:           s.est.GuardStats(),
-		IngestGate:      s.ingestGate.Stats(),
-		Endpoints: map[string]endpointSnapshot{
-			"estimate":       s.epEstimate.snapshot(),
-			"estimate_batch": s.epBatch.snapshot(),
-			"record":         s.epRecord.snapshot(),
-			"feedback":       s.epFeedback.snapshot(),
-		},
-	}
+	resp := healthzResponse{Status: "ok", PoolSize: s.pool.Len()}
 	if s.adaptive != nil {
 		st := s.adaptive.AdaptationStats()
 		resp.Online = &st
 		resp.Durable = s.adaptive.DurabilityStats()
-	}
-	if s.tel != nil {
-		// One coherent gather: every telemetry-backed section — the latency
-		// snapshots included — comes from a single pass over the registry's
-		// histograms and counters (the same instruments /metrics exposes)
-		// instead of field-by-field reads interleaved with the render.
-		resp.Telemetry, resp.EstimateLatency, resp.BatchLatency = s.telemetrySnapshot()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"crn"
+	"crn/internal/telemetry"
 )
 
 var (
@@ -56,13 +57,12 @@ func testServer(t testing.TB) *server {
 		// Coalescing on, as in the default serving configuration: the
 		// equivalence assertions below (batch == single) therefore also pin
 		// the coalesced path to the batched path through the HTTP surface.
-		// Telemetry on too, so every handler test also exercises the
-		// instrumented path and /healthz renders from the registry snapshot.
+		// Telemetry on too, as in crnserve, so every handler test also
+		// exercises the instrumented path.
 		tel := crn.NewTelemetry()
 		est := sys.CardinalityEstimator(model, pool,
 			crn.WithFallback(base), crn.WithCoalescing(16, 0), crn.WithTelemetry(tel))
-		envSrv = newServer(sys, model, pool, est, nil)
-		envSrv.setTelemetry(tel)
+		envSrv = newServer(sys, model, pool, est, tel, nil)
 	})
 	if envErr != nil {
 		t.Fatal(envErr)
@@ -94,6 +94,54 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return &http.Response{StatusCode: status}, out
+}
+
+// getJSON fetches url and decodes its JSON body into dst.
+func getJSON(t *testing.T, url string, dst any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// getHealthz fetches and decodes url's /healthz.
+func getHealthz(t *testing.T, url string) healthzResponse {
+	t.Helper()
+	var hr healthzResponse
+	getJSON(t, url+"/healthz", &hr)
+	return hr
+}
+
+// healthzKeys fetches url's /healthz as generic JSON, so tests see the
+// keys actually served rather than what healthzResponse decodes.
+func healthzKeys(t *testing.T, url string) map[string]any {
+	t.Helper()
+	var body map[string]any
+	getJSON(t, url+"/healthz", &body)
+	return body
+}
+
+// scrape fetches and parses url's /metrics exposition.
+func scrape(t *testing.T, url string) map[string]*telemetry.ParsedFamily {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d", resp.StatusCode)
+	}
+	fams, err := telemetry.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fams
 }
 
 func TestEstimateEndpoints(t *testing.T) {
@@ -197,7 +245,7 @@ func TestNoPoolMatchMapsTo422(t *testing.T) {
 	// misses.
 	empty := base.sys.NewQueriesPool()
 	bare := newServer(base.sys, base.model, empty,
-		base.sys.CardinalityEstimator(base.model, empty), nil)
+		base.sys.CardinalityEstimator(base.model, empty), crn.NewTelemetry(), nil)
 	ts := httptest.NewServer(bare.handler())
 	defer ts.Close()
 
@@ -210,25 +258,72 @@ func TestNoPoolMatchMapsTo422(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	if hr.Status != "ok" || hr.PoolSize <= 0 {
+	if hr := getHealthz(t, ts.URL); hr.Status != "ok" || hr.PoolSize <= 0 {
 		t.Errorf("healthz = %+v", hr)
 	}
 }
 
-// TestHealthzServingStats checks the serving counters added for the
-// high-concurrency pipeline: /healthz must expose coalescer stats and
-// estimate/batch latency counters that move under traffic.
+// TestHealthzShape pins the exact /healthz key set in each serving
+// configuration (-data-dir is ignored without adaptation, so there are
+// three), and checks that every field the end-to-end benchmark decodes
+// from /healthz is present. Detailed serving statistics belong on /metrics.
+func TestHealthzShape(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		srv   *server
+		keys  []string
+		bench bool // the benchmark's configuration: check its fields
+	}{
+		{"adapt off", testServer(t), []string{"status", "pool_size"}, false},
+		{"adapt on", adaptiveServer(t), []string{"status", "pool_size", "online"}, false},
+		{"adapt on, data dir", durableServer(t), []string{"status", "pool_size", "online", "durable"}, true},
+	} {
+		ts := httptest.NewServer(tc.srv.handler())
+		hz := healthzKeys(t, ts.URL)
+		ts.Close()
+		if len(hz) != len(tc.keys) {
+			t.Errorf("%s: /healthz keys = %v, want exactly %v", tc.name, hz, tc.keys)
+		}
+		for _, k := range tc.keys {
+			if _, ok := hz[k]; !ok {
+				t.Errorf("%s: /healthz missing %q", tc.name, k)
+			}
+		}
+		if !tc.bench {
+			continue
+		}
+		// The fields e2ebench's healthz struct decodes.
+		for _, path := range [][]string{
+			{"pool_size"},
+			{"online", "generation"},
+			{"online", "collector", "staged"},
+			{"online", "collector", "drained"},
+			{"online", "trainer", "promotions"},
+			{"online", "trainer", "rejections"},
+			{"online", "trainer", "train_errors"},
+			{"online", "trainer", "oracle_pairs"},
+			{"durable", "wal", "syncs"},
+			{"durable", "replayed_records"},
+		} {
+			var v any = hz
+			for _, k := range path {
+				m, _ := v.(map[string]any)
+				v = m[k]
+			}
+			if _, ok := v.(float64); !ok {
+				t.Errorf("/healthz %v = %v, want a number", path, v)
+			}
+		}
+	}
+}
+
+// TestHealthzServingStats checks the serving counters of the
+// high-concurrency pipeline move under traffic: coalescer dispositions on
+// CoalescerStats and /metrics, end-to-end estimate and batch latency on
+// /metrics. /healthz carries none of them.
 func TestHealthzServingStats(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).handler())
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
@@ -245,26 +340,28 @@ func TestHealthzServingStats(t *testing.T) {
 		t.Fatalf("batch: status %d err %v body %s", status, err, body)
 	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	cs := srv.est.CoalescerStats()
+	if cs.Calls == 0 || cs.Batches == 0 {
+		t.Errorf("coalescer counters never moved: %+v", cs)
 	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
+	if cs.BatchedItems < cs.Batches {
+		t.Errorf("inconsistent coalescer stats: %+v", cs)
 	}
-	if hr.Coalescer.Calls == 0 || hr.Coalescer.Batches == 0 {
-		t.Errorf("coalescer counters never moved: %+v", hr.Coalescer)
+	fams := scrape(t, ts.URL)
+	if v, ok := fams["crn_coalesce_calls_total"].Sample("kind", "call"); !ok || v < 3 {
+		t.Errorf("crn_coalesce_calls_total{kind=call} = %v (ok=%v), want >= 3", v, ok)
 	}
-	if hr.Coalescer.BatchedItems < hr.Coalescer.Batches {
-		t.Errorf("inconsistent coalescer stats: %+v", hr.Coalescer)
+	if h := fams["crn_estimate_duration_seconds"].Hist("", ""); h == nil || h.Count < 3 || h.Sum <= 0 {
+		t.Errorf("estimate latency histogram wrong: %+v", h)
 	}
-	if hr.EstimateLatency.Count < 3 || hr.EstimateLatency.AvgMicros <= 0 || hr.EstimateLatency.MaxMicros < hr.EstimateLatency.AvgMicros {
-		t.Errorf("estimate latency counters wrong: %+v", hr.EstimateLatency)
+	if h := fams["crn_estimate_batch_duration_seconds"].Hist("", ""); h == nil || h.Count < 1 || h.Sum <= 0 {
+		t.Errorf("batch latency histogram wrong: %+v", h)
 	}
-	if hr.BatchLatency.Count < 1 || hr.BatchLatency.AvgMicros <= 0 {
-		t.Errorf("batch latency counters wrong: %+v", hr.BatchLatency)
+	hz := healthzKeys(t, ts.URL)
+	for _, gone := range []string{"coalescer", "estimate_latency", "batch_latency"} {
+		if _, ok := hz[gone]; ok {
+			t.Errorf("/healthz carries %q; it belongs on /metrics", gone)
+		}
 	}
 }
 
@@ -284,7 +381,7 @@ func TestPprofFlagGatesDebugRoutes(t *testing.T) {
 		t.Errorf("pprof off: /debug/pprof/ status %d, want 404", resp.StatusCode)
 	}
 
-	withPprof := newServer(base.sys, base.model, base.pool, base.est, nil)
+	withPprof := newServer(base.sys, base.model, base.pool, base.est, crn.NewTelemetry(), nil)
 	withPprof.pprof = true
 	on := httptest.NewServer(withPprof.handler())
 	defer on.Close()
@@ -359,24 +456,16 @@ func TestConcurrentRecordAndEstimate(t *testing.T) {
 	}
 
 	// The pool grew during the hammering.
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	if hr.Recorded == 0 {
-		t.Error("no queries were recorded")
+	if v, ok := scrape(t, ts.URL)["crn_recorded_queries_total"].Sample("", ""); !ok || v == 0 {
+		t.Errorf("crn_recorded_queries_total = %v (ok=%v): no queries were recorded", v, ok)
 	}
 }
 
 // TestBoundedPoolConfigAndHealthz drives the -pool-cap / -max-candidates
 // serving configuration end to end: /record pushes a capacity-bounded pool
 // into LRU eviction, bounded estimates run signature-indexed top-K
-// selection, and /healthz exposes the index and eviction counters.
+// selection, and the pool's Stats and /metrics expose the index and
+// eviction counters.
 func TestBoundedPoolConfigAndHealthz(t *testing.T) {
 	base := testServer(t)
 	bounded := base.sys.NewQueriesPool(crn.WithPoolCap(4))
@@ -384,9 +473,10 @@ func TestBoundedPoolConfigAndHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := crn.NewTelemetry()
 	est := base.sys.CardinalityEstimator(base.model, bounded,
-		crn.WithFallback(fb), crn.WithMaxCandidates(2))
-	srv := newServer(base.sys, base.model, bounded, est, nil)
+		crn.WithFallback(fb), crn.WithMaxCandidates(2), crn.WithTelemetry(tel))
+	srv := newServer(base.sys, base.model, bounded, est, tel, nil)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -407,33 +497,29 @@ func TestBoundedPoolConfigAndHealthz(t *testing.T) {
 		t.Fatalf("bounded estimate: status %d err %v body %s", status, err, body)
 	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	ps := srv.pool.Stats()
+	if hr := getHealthz(t, ts.URL); hr.PoolSize != 4 || ps.Entries != 4 {
+		t.Errorf("pool size = %d / %d, want 4 (capacity held)", hr.PoolSize, ps.Entries)
 	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
+	if ps.Capacity != 4 {
+		t.Errorf("pool capacity = %d, want 4", ps.Capacity)
 	}
-	if hr.PoolSize != 4 || hr.Pool.Entries != 4 {
-		t.Errorf("pool size = %d / %d, want 4 (capacity held)", hr.PoolSize, hr.Pool.Entries)
+	if ps.Evictions != 2 {
+		t.Errorf("evictions = %d, want 2", ps.Evictions)
 	}
-	if hr.Pool.Capacity != 4 {
-		t.Errorf("pool capacity = %d, want 4", hr.Pool.Capacity)
+	if ps.TopKCalls == 0 || ps.ScannedCandidates == 0 || ps.TruncatedCalls == 0 {
+		t.Errorf("top-K selection counters never moved: %+v", ps)
 	}
-	if hr.Pool.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", hr.Pool.Evictions)
-	}
-	if hr.Pool.TopKCalls == 0 || hr.Pool.ScannedCandidates == 0 || hr.Pool.TruncatedCalls == 0 {
-		t.Errorf("top-K selection counters never moved: %+v", hr.Pool)
+	if v, ok := scrape(t, ts.URL)["crn_pool_evictions_total"].Sample("", ""); !ok || v != 2 {
+		t.Errorf("crn_pool_evictions_total = %v (ok=%v), want 2", v, ok)
 	}
 }
 
 // adaptiveServer builds a server with the online-adaptation loop attached
 // (manual retraining: interval -1, so tests drive promotion explicitly)
-// over the shared trained model and a fresh seeded pool.
-func adaptiveServer(t *testing.T) *server {
+// over the shared trained model and a fresh seeded pool; opts add to the
+// loop's configuration (a data dir, for instance).
+func adaptiveServer(t *testing.T, opts ...crn.EstimatorOption) *server {
 	t.Helper()
 	base := testServer(t)
 	ctx := context.Background()
@@ -441,15 +527,26 @@ func adaptiveServer(t *testing.T) *server {
 	if err := base.sys.SeedPool(ctx, pool, 10, 13); err != nil {
 		t.Fatal(err)
 	}
-	ae := base.sys.AdaptiveEstimator(base.model, pool,
+	ae, err := base.sys.OpenAdaptiveEstimator(base.model, pool, append([]crn.EstimatorOption{
 		crn.WithRetrainInterval(-1),
 		crn.WithRetrainEpochs(1),
 		crn.WithFeedbackPairs(2),
-		crn.WithPromoteTolerance(10))
+		crn.WithPromoteTolerance(10),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(ae.Close)
-	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, nil)
+	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, crn.NewTelemetry(), nil)
 	srv.adaptive = ae
 	return srv
+}
+
+// durableServer is adaptiveServer with a data dir whose feedback WAL
+// syncs on every record.
+func durableServer(t *testing.T) *server {
+	t.Helper()
+	return adaptiveServer(t, crn.WithDataDir(t.TempDir()), crn.WithWALSync("always"))
 }
 
 // TestFeedbackEndpoint drives /feedback end to end: ingestion, validation
@@ -527,15 +624,7 @@ func TestFeedbackEndpoint(t *testing.T) {
 	}
 
 	// /healthz surfaces the whole loop.
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
+	hr := getHealthz(t, ts.URL)
 	if hr.Online == nil {
 		t.Fatal("healthz must report the online section when adaptation is on")
 	}
@@ -571,16 +660,7 @@ func TestFeedbackDisabledWithoutAdaptation(t *testing.T) {
 	if status != http.StatusNotFound {
 		t.Errorf("/feedback on a non-adaptive server = %d, want 404", status)
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
-	if hr.Online != nil {
+	if hr := getHealthz(t, ts.URL); hr.Online != nil {
 		t.Errorf("online section must be omitted without adaptation: %+v", hr.Online)
 	}
 }
@@ -589,26 +669,7 @@ func TestFeedbackDisabledWithoutAdaptation(t *testing.T) {
 // HTTP surface: /feedback journals to the WAL, /healthz exposes the
 // "durable" section, and a non-durable server omits it.
 func TestHealthzDurableSection(t *testing.T) {
-	base := testServer(t)
-	ctx := context.Background()
-	pool := base.sys.NewQueriesPool()
-	if err := base.sys.SeedPool(ctx, pool, 10, 13); err != nil {
-		t.Fatal(err)
-	}
-	ae, err := base.sys.OpenAdaptiveEstimator(base.model, pool,
-		crn.WithRetrainInterval(-1),
-		crn.WithRetrainEpochs(1),
-		crn.WithFeedbackPairs(2),
-		crn.WithPromoteTolerance(10),
-		crn.WithDataDir(t.TempDir()),
-		crn.WithWALSync("always"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ae.Close)
-	srv := newServer(base.sys, base.model, pool, ae.CardinalityEstimator, nil)
-	srv.adaptive = ae
-	ts := httptest.NewServer(srv.handler())
+	ts := httptest.NewServer(durableServer(t).handler())
 	defer ts.Close()
 
 	if status, _, err := postJSONErr(ts.URL+"/feedback", map[string]any{
@@ -617,15 +678,7 @@ func TestHealthzDurableSection(t *testing.T) {
 		t.Fatalf("feedback: status %d err %v", status, err)
 	}
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hr healthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatal(err)
-	}
+	hr := getHealthz(t, ts.URL)
 	if hr.Durable == nil {
 		t.Fatal("healthz must report the durable section with a data dir")
 	}
@@ -640,16 +693,7 @@ func TestHealthzDurableSection(t *testing.T) {
 	srv2 := adaptiveServer(t)
 	ts2 := httptest.NewServer(srv2.handler())
 	defer ts2.Close()
-	resp2, err := http.Get(ts2.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var hr2 healthzResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&hr2); err != nil {
-		t.Fatal(err)
-	}
-	if hr2.Durable != nil {
+	if hr2 := getHealthz(t, ts2.URL); hr2.Durable != nil {
 		t.Errorf("durable section must be omitted without a data dir: %+v", hr2.Durable)
 	}
 }

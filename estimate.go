@@ -104,9 +104,9 @@ func (e *CardinalityEstimator) applyTelemetry(set estimatorSettings) {
 }
 
 // registerCollectors bridges the estimator's existing stats atomics onto
-// the registry as gather-time collector families, so /healthz and /metrics
-// render from the same source of truth without a second set of hot-path
-// writes.
+// the registry as gather-time collector families, so /metrics and the
+// typed Stats accessors render from the same source of truth without a
+// second set of hot-path writes.
 func (e *CardinalityEstimator) registerCollectors() {
 	r := e.tel.Registry()
 
@@ -188,15 +188,6 @@ func (e *CardinalityEstimator) registerCollectors() {
 				emit(float64(ps.ScannedFallback), "fallback")
 			})
 	}
-
-	// Batch-level candidate sharing.
-	r.CollectCounter("crn_candidate_selections_total",
-		"Per-probe candidate gatherings: requested across all batches, and the subset answered by reusing an earlier selection of the same batch.",
-		"kind", func(emit telemetry.Emit) {
-			ss := e.est.SelectionStats()
-			emit(float64(ss.Selections), "requested")
-			emit(float64(ss.Shared), "shared")
-		})
 }
 
 // finish closes out one request's telemetry: end-to-end latency (into the
@@ -604,14 +595,6 @@ func (e *CardinalityEstimator) CoalescerStats() CoalescerStats {
 	return e.coal.Stats()
 }
 
-// SelectionStats reports batch-level candidate-sharing counters: how many
-// per-probe candidate selections the estimator performed and how many were
-// answered by reusing an earlier selection of the same batch. Shared stays
-// zero without WithSharedSelection.
-func (e *CardinalityEstimator) SelectionStats() SelectionStats {
-	return e.est.SelectionStats()
-}
-
 // GateStats reports admission-gate counters (see GuardStats).
 type GateStats = guard.GateStats
 
@@ -619,8 +602,8 @@ type GateStats = guard.GateStats
 type BreakerStats = guard.BreakerStats
 
 // GuardStats is a point-in-time snapshot of the estimator's operational
-// guards, shaped for health endpoints. Unconfigured guards report zero
-// values (breaker state "closed", gate ceiling 0 = unlimited).
+// guards. Unconfigured guards report zero values (breaker state "closed",
+// gate ceiling 0 = unlimited).
 type GuardStats struct {
 	Gate    GateStats    `json:"gate"`
 	Breaker BreakerStats `json:"breaker"`
@@ -636,14 +619,4 @@ func (e *CardinalityEstimator) GuardStats() GuardStats {
 // WithBreaker.
 func (e *CardinalityEstimator) BreakerOpen() bool {
 	return e.breaker.State() == guard.BreakerOpen
-}
-
-// WithFallback sets a fallback estimator for queries without a usable pool
-// match and returns the receiver.
-//
-// Deprecated: pass the WithFallback EstimatorOption to CardinalityEstimator
-// or ImproveBaseline instead.
-func (e *CardinalityEstimator) WithFallback(fb BaselineEstimator) *CardinalityEstimator {
-	e.est.Fallback = fb
-	return e
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"crn/internal/contain"
 	"crn/internal/guard/failpoint"
@@ -76,58 +75,11 @@ type Estimator struct {
 	// least the matching count is likewise bit-identical, because TopK
 	// degenerates to the full scan in original order.
 	MaxCandidates int
-	// ShareCandidates deduplicates candidate selection across one
-	// EstimateCards batch: probes that provably (unbounded gathering — same
-	// FROM clause) or plausibly (bounded TopK — same FROM clause AND same
-	// probe-signature pattern) select the same candidate set reuse the first
-	// probe's selection instead of re-probing the pool. Containment rates
-	// are still estimated per (probe, candidate) pair, so with
-	// MaxCandidates = 0 results are bit-identical to unshared estimation;
-	// with a binding MaxCandidates, same-pattern probes with different
-	// predicate values reuse a top-K ranked for the first probe's values —
-	// an approximation, so sharing is opt-in (default off).
-	ShareCandidates bool
-
 	// Tel, when non-nil, receives the estimator's stage spans (candidate
 	// selection, finalize) and notes every served estimate with its arm
 	// (CRN vs fallback) into the live accuracy ring. Set before serving;
 	// nil keeps the path free of clock reads.
 	Tel *telemetry.Telemetry
-
-	// selections / sharedSels count candidate selections performed and
-	// reused across all EstimateCards calls (atomics; see SelectionStats).
-	selections uint64
-	sharedSels uint64
-}
-
-// SelectionStats is a point-in-time snapshot of batch candidate selection.
-type SelectionStats struct {
-	// Selections counts per-probe candidate gatherings requested across all
-	// batches; Shared counts how many of them were answered by reusing an
-	// earlier selection of the same batch instead of probing the pool.
-	Selections uint64 `json:"selections"`
-	Shared     uint64 `json:"shared"`
-}
-
-// SelectionStats returns the estimator's candidate-selection counters.
-func (e *Estimator) SelectionStats() SelectionStats {
-	return SelectionStats{
-		Selections: atomic.LoadUint64(&e.selections),
-		Shared:     atomic.LoadUint64(&e.sharedSels),
-	}
-}
-
-// shareKey buckets one batch's probes into groups whose candidate selection
-// is reusable: the FROM clause alone for unbounded gathering (AppendMatching
-// returns every clause entry in pool order for any probe — sharing is
-// exact), plus the probe signature's value-free pattern (query PatternKey)
-// for bounded TopK selection.
-func shareKey(q query.Query, bounded bool) string {
-	if !bounded {
-		return q.FROMKey()
-	}
-	sig := q.Signature()
-	return q.FROMKey() + "\x00" + sig.PatternKey()
 }
 
 // New creates a pool-based estimator with the paper's defaults (Median
@@ -198,26 +150,7 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 	spans := make([]span, len(queries))
 	arena := make([]pool.Entry, 0, 8*len(queries))
 	total := 0
-	// Batch-level candidate sharing: one pool selection per share bucket,
-	// reused by every later probe of the same bucket (rate pairs stay
-	// per-probe — only the selection is shared). See ShareCandidates.
-	var shareIdx map[string]int
-	if e.ShareCandidates && len(queries) > 1 {
-		shareIdx = make(map[string]int, len(queries))
-	}
 	for i, qnew := range queries {
-		atomic.AddUint64(&e.selections, 1)
-		var sk string
-		if shareIdx != nil {
-			sk = shareKey(qnew, e.MaxCandidates > 0)
-			if j, ok := shareIdx[sk]; ok {
-				sp := spans[j]
-				spans[i] = span{lo: sp.lo, hi: sp.hi, off: 2 * total}
-				total += sp.hi - sp.lo
-				atomic.AddUint64(&e.sharedSels, 1)
-				continue
-			}
-		}
 		lo := len(arena)
 		if e.MaxCandidates > 0 {
 			arena = e.Pool.AppendTopK(arena, qnew, e.MaxCandidates)
@@ -237,9 +170,6 @@ func (e *Estimator) EstimateCards(ctx context.Context, queries []query.Query) ([
 		arena = arena[:w]
 		spans[i] = span{lo: lo, hi: w, off: 2 * total}
 		total += w - lo
-		if shareIdx != nil {
-			shareIdx[sk] = i
-		}
 	}
 	if e.Tel != nil {
 		st.Mark(e.Tel.Stages.CandidateSelection)

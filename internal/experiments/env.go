@@ -1,7 +1,7 @@
 // Package experiments wires every subsystem together and regenerates the
 // paper's evaluation: one runner per table and figure (Tables 2-15, Figures
-// 3-13), all driven from a single trained Environment. DESIGN.md carries the
-// experiment index mapping each runner to its paper artifact.
+// 3-13), all driven from a single trained Environment. ExperimentIDs lists
+// the runners in paper order.
 package experiments
 
 import (
@@ -114,7 +114,7 @@ func FullConfig() Config {
 // relative model ordering is visible, small enough that the whole suite
 // (environment build plus every table and figure) runs in minutes. The
 // headline reproduction numbers come from `cmd/repro -scale small`
-// (SmallConfig); see EXPERIMENTS.md.
+// (SmallConfig).
 func BenchConfig() Config {
 	c := SmallConfig()
 	c.DBTitles = 3000

@@ -14,13 +14,16 @@ func TestQErrorBasics(t *testing.T) {
 		{100, 100, 1},
 		{100, 200, 2},
 		{200, 100, 2},
+		{100, 50, 2},
 		{1, 1000, 1000},
-		{0, 0, 1},   // both clamped to floor
-		{0, 10, 10}, // actual clamped to 1
-		{10, 0, 10}, // estimate clamped to 1
+		{0, 0, 1},     // both clamped to floor
+		{0, 10, 10},   // actual clamped to 1
+		{10, 0, 10},   // estimate clamped to 1
+		{100, 0, 100}, // zero estimate clamped to 1
+		{0, 100, 100}, // empty result clamped to 1
 	}
 	for _, c := range cases {
-		if got := CardQError(c.actual, c.estimate); math.Abs(got-c.want) > 1e-12 {
+		if got := CardQError(c.actual, c.estimate); got != c.want {
 			t.Errorf("CardQError(%v,%v) = %v, want %v", c.actual, c.estimate, got, c.want)
 		}
 	}

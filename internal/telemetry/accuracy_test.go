@@ -69,20 +69,21 @@ func TestAccuracyOverwriteAndEviction(t *testing.T) {
 	}
 }
 
+// TestQError: the tracker scores each joined truth with metrics.CardQError,
+// so an empty result or a zero estimate clamps to one row and stays finite.
 func TestQError(t *testing.T) {
-	cases := []struct {
-		est, truth, want float64
-	}{
-		{100, 100, 1},
+	for _, c := range []struct{ est, truth, want float64 }{
 		{50, 100, 2},
-		{200, 100, 2},
-		{0, 100, 100}, // zero clamps to 1
+		{0, 100, 100},
 		{100, 0, 100},
 		{0, 0, 1},
-	}
-	for _, c := range cases {
-		if got := QError(c.est, c.truth); got != c.want {
-			t.Errorf("QError(%v,%v) = %v, want %v", c.est, c.truth, got, c.want)
+	} {
+		a := New().Accuracy
+		a.Note("k", c.est, ArmCRN)
+		a.Truth("k", c.truth)
+		snap := a.Hist(ArmCRN).Snapshot()
+		if q := snap.Quantile(0.5); snap.Total() != 1 || q < c.want/1.25 || q > c.want*1.25 {
+			t.Errorf("est %v truth %v: q-error %v over %d samples, want ≈%v", c.est, c.truth, q, snap.Total(), c.want)
 		}
 	}
 	var a *Accuracy

@@ -93,8 +93,8 @@ type sample struct {
 // family is one registered metric family: either owned instruments
 // (counters/gauges/histograms the hot path writes) or a collector callback
 // gathered at exposition time (the migration path for subsystems that
-// already keep their own atomic stats — /healthz and /metrics then render
-// from the same underlying source).
+// already keep their own atomic stats — their Stats accessors and /metrics
+// then render from the same underlying source).
 type family struct {
 	name     string
 	help     string

@@ -30,7 +30,6 @@ type largePoolEnv struct {
 	full   *CardinalityEstimator // unbounded scan
 	topK   *CardinalityEstimator // MaxCandidates = 64, indexed selection
 	noIdx  *CardinalityEstimator // MaxCandidates = 64, WithIndexedSelection(false)
-	shared *CardinalityEstimator // MaxCandidates = 64, batch-level candidate sharing
 	pool   *QueriesPool
 	probes []Query
 }
@@ -104,15 +103,12 @@ func largePoolBenchEnv(b *testing.B, n int) *largePoolEnv {
 			WithFallback(base), WithRepCacheSize(2*n+1024), WithMaxCandidates(64)),
 		noIdx: sys.CardinalityEstimator(model, lin,
 			WithFallback(base), WithRepCacheSize(2*n+1024), WithMaxCandidates(64)),
-		shared: sys.CardinalityEstimator(model, p,
-			WithFallback(base), WithRepCacheSize(2*n+1024), WithMaxCandidates(64),
-			WithSharedSelection(true)),
 		pool:   p,
 		probes: probes,
 	}
 	// Warm each estimator to resident steady state: sighting, promotion,
 	// resident read.
-	for _, est := range []*CardinalityEstimator{env.full, env.topK, env.noIdx, env.shared} {
+	for _, est := range []*CardinalityEstimator{env.full, env.topK, env.noIdx} {
 		for pass := 0; pass < 3; pass++ {
 			for _, q := range probes {
 				if _, err := est.EstimateCardinality(ctx, q); err != nil {
@@ -153,28 +149,5 @@ func BenchmarkEstimateCardinalityLargePool(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkEstimateCardinalityLargePoolBatch measures an 8-probe batch
-// against the 50k-entry pool with top-64 selection, with and without
-// batch-level candidate sharing. ns/op is the whole batch; shared=on
-// collapses same-FROM same-pattern probes onto one ranked selection.
-func BenchmarkEstimateCardinalityLargePoolBatch(b *testing.B) {
-	for _, mode := range []string{"shared=off", "shared=on"} {
-		b.Run(fmt.Sprintf("entries=50000/%s", mode), func(b *testing.B) {
-			env := largePoolBenchEnv(b, 50000)
-			est := env.topK
-			if mode == "shared=on" {
-				est = env.shared
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := est.EstimateCardinalityBatch(ctx, env.probes); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -82,14 +82,6 @@ func WithProgress(fn func(epoch int, valQError float64)) TrainOption {
 	return func(c *TrainConfig) { c.Progress = fn }
 }
 
-// WithTrainConfig replaces the whole configuration with a legacy config
-// struct.
-//
-// Deprecated: migrate to the individual options.
-func WithTrainConfig(cfg TrainConfig) TrainOption {
-	return func(c *TrainConfig) { *c = cfg }
-}
-
 // --- Queries pool -----------------------------------------------------------
 
 // PoolOption configures NewQueriesPool.
@@ -120,10 +112,6 @@ func WithIndexedSelection(on bool) PoolOption { return pool.WithIndexedSelection
 // PoolStats reports pool occupancy plus candidate-index and eviction
 // counters (see QueriesPool.Stats).
 type PoolStats = pool.Stats
-
-// SelectionStats reports batch-level candidate-sharing counters (see
-// CardinalityEstimator.SelectionStats and WithSharedSelection).
-type SelectionStats = card.SelectionStats
 
 // --- Cardinality estimation -------------------------------------------------
 
@@ -207,21 +195,6 @@ func WithMaxCandidates(k int) EstimatorOption {
 		// must be able to override an earlier bound.
 		s.est.MaxCandidates = k
 	}
-}
-
-// WithSharedSelection deduplicates candidate selection across each batch
-// (coalesced or explicit): probes sharing a FROM clause — and, under a
-// WithMaxCandidates bound, a predicate-signature pattern — reuse one pool
-// selection per batch instead of probing the pool per query. Containment
-// rates are still estimated per (probe, candidate) pair. With an unbounded
-// scan (MaxCandidates 0) sharing is exact: every probe of a FROM clause
-// receives the identical candidate set either way. With a binding bound it
-// is an approximation — same-pattern probes with different predicate values
-// reuse a top-K ranked for the first probe's values — hence opt-in
-// (default off; the Median final function is robust to near-miss candidate
-// sets, and SelectionStats reports how often sharing fired).
-func WithSharedSelection(on bool) EstimatorOption {
-	return func(s *estimatorSettings) { s.est.ShareCandidates = on }
 }
 
 // WithRepCacheSize bounds the representation cache of a CRN-backed

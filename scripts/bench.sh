@@ -81,7 +81,7 @@ echo "== serving benchmarks (batched cardinality estimation) ==" >&2
 go test . -run '^$' -bench 'EstimateCardinality(Batch|SingleLoop)64' -benchmem -benchtime 20x | tee -a "$RAW"
 echo "== concurrent serving benchmarks (coalescing + solo bypass + guards + telemetry, -cpu 1,4) ==" >&2
 go test . -run '^$' -bench 'EstimateCardinality(Parallel|SoloCoalesced|Guarded|Telemetry)' -cpu 1,4 -benchmem -benchtime 2s | tee -a "$RAW"
-echo "== large-pool benchmarks (indexed vs linear top-K vs full scan, batch sharing) ==" >&2
+echo "== large-pool benchmarks (indexed vs linear top-K vs full scan) ==" >&2
 go test . -run '^$' -bench 'EstimateCardinalityLargePool' -benchmem -benchtime 20x | tee -a "$RAW"
 echo "== saturated-pool eviction benchmarks (lazy min-heap vs linear scan) ==" >&2
 go test ./internal/pool -run '^$' -bench 'AddSaturated' -benchmem -benchtime 100x | tee -a "$RAW"

@@ -11,10 +11,8 @@ import (
 )
 
 // TrainConfig controls containment-model training. The zero value uses the
-// defaults (5000 pairs, seed 1, DefaultModelConfig).
-//
-// Deprecated: configure TrainContainmentModel with TrainOption values; this
-// struct remains as the carrier for WithTrainConfig.
+// defaults (5000 pairs, seed 1, DefaultModelConfig). TrainOption values
+// fill it in.
 type TrainConfig struct {
 	Pairs    int         // training pairs to generate (0 = 5000)
 	Seed     int64       // generator seed (0 = 1)
@@ -38,18 +36,6 @@ func (s *System) TrainContainmentModel(ctx context.Context, opts ...TrainOption)
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return s.trainWithConfig(ctx, cfg)
-}
-
-// TrainContainmentModelConfig is the config-struct form of
-// TrainContainmentModel.
-//
-// Deprecated: use TrainContainmentModel with options.
-func (s *System) TrainContainmentModelConfig(cfg TrainConfig) (*ContainmentModel, error) {
-	return s.trainWithConfig(context.Background(), cfg)
-}
-
-func (s *System) trainWithConfig(ctx context.Context, cfg TrainConfig) (*ContainmentModel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
